@@ -13,9 +13,9 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .errors import DegenerateProfile, ParameterError
-from .greens import DENSE_CAP_DEFAULT, GreensColumn, solve_green_matrix, _assemble_fourier_system, _lu_factor
-from .lattice import GridSpec, SpectralFunction, dft_values, mollified_distance
+from .errors import DegenerateProfile, ParameterError, SingularResolvent
+from .greens import DENSE_CAP_DEFAULT, GreensColumn, _assemble_fourier_system, solve_green_matrix
+from .lattice import GridSpec, SpectralFunction, _check_index, dft_values, mollified_distance
 from .mollifier import MollifierSpec, h_on_grid
 from .operators import FD2, MPS, ProblemSpec, spectral_difference
 
@@ -45,7 +45,6 @@ class DecayReport:
     x2: float
     profile: np.ndarray  # (npts, 2) columns: x offset in [0, L/2], |G|
     moment_table: np.ndarray  # (nm, 3) columns: m, lhs, rhs
-    weighted_norms: tuple = ()
 
 
 def fd_characteristic_rate(lam: complex, dx: float) -> float:
@@ -188,12 +187,6 @@ def weighted_resolvent_norm(
     return matrix_2norm(weighted)
 
 
-def _check_index(grid: GridSpec, y_index: int) -> int:
-    if not 0 <= y_index < grid.N:
-        raise ParameterError(f"y_index must be in [0, {grid.N}), got {y_index}")
-    return int(y_index)
-
-
 class WeightedHNorm(NamedTuple):
     """||Ghat (1 + h)||_2 together with its a-priori bound and ||Ghat||_2."""
 
@@ -207,20 +200,28 @@ def weighted_G_h_norm(spec: ProblemSpec, dense_cap: int = DENSE_CAP_DEFAULT) -> 
 
     Also returns the a-priori bound 1 + ||Ghat||_2 (|1 + lam| + sqrt(2 pi)
     ||V||_inf), which the computed value must never exceed, and ||Ghat||_2
-    itself.  Ghat is materialized through one factorization; its top singular
-    values form a near-continuum, which rules out purely iterative norms here.
+    itself.  Both norms are read from A = lam - Hhat without inverting it.
+    V is real, so Hhat is Hermitian and A is normal: ||Ghat||_2 is
+    1/min|lam - mu| over the eigenvalues mu of Hhat, for complex lam too.
+    And (Ghat D)^{-1} = D^{-1} A with D = diag(1 + h), so ||Ghat D||_2 is
+    1/sigma_min(D^{-1} A).
     """
     if spec.scheme != MPS:
         raise ParameterError("weighted_G_h_norm is defined for the mps scheme")
     grid = spec.grid
+    N = grid.N
     A = _assemble_fourier_system(spec, dense_cap)
-    lu = _lu_factor(A)
-    ghat = scipy.linalg.lu_solve(lu, np.eye(grid.N, dtype=complex))
-    resolvent_norm = matrix_2norm(ghat)  # isolated top singular value, Lanczos-friendly
-    h = h_on_grid(spec.grid, spec.mollifier)
-    # the top singular values of Ghat (1 + h) form a near-continuum that no
-    # Krylov iteration separates; take the full SVD for this factor
-    value = matrix_2norm(ghat * (1.0 + h)[None, :], method="svd")
+    hhat = -A
+    hhat[np.arange(N), np.arange(N)] += spec.lam
+    # LAPACK gets the transposes, Fortran-ordered views it overwrites without a copy;
+    # the transpose of Hhat is Hermitian with the same eigenvalues
+    dist = np.abs(spec.lam - scipy.linalg.eigvalsh(hhat.T, overwrite_a=True))
+    # the rank tolerance of numpy.linalg.matrix_rank, applied to the singular values of A
+    if dist.min() <= N * np.finfo(float).eps * dist.max():
+        raise SingularResolvent(f"lam = {spec.lam} is an eigenvalue of the mps operator")
+    resolvent_norm = 1.0 / float(dist.min())
+    A /= (1.0 + h_on_grid(grid, spec.mollifier))[:, None]
+    value = 1.0 / float(scipy.linalg.svdvals(A.T, overwrite_a=True)[-1])
     vmax = float(np.max(np.abs(spec.potential.evaluate(grid))))
     bound = 1.0 + resolvent_norm * (abs(1.0 + spec.lam) + np.sqrt(2.0 * np.pi) * vmax)
     return WeightedHNorm(value, bound, resolvent_norm)
@@ -231,7 +232,6 @@ def decay_report(
     x1: float = 1.0,
     x2: float = 7.0,
     moments: tuple[int, ...] = (),
-    weighted_norms: tuple = (),
 ) -> DecayReport:
     """Assemble gamma, the half-interval profile, and any moment rows."""
     table = np.array(
@@ -243,5 +243,4 @@ def decay_report(
         x2=x2,
         profile=decay_profile(col),
         moment_table=table,
-        weighted_norms=tuple(weighted_norms),
     )

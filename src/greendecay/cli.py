@@ -29,7 +29,7 @@ from .lattice import (
     norm,
     periodic_distance,
 )
-from .mollifier import MollifierSpec, h_on_grid, theta_on_grid
+from .mollifier import MollifierSpec, bump_phi, h_on_grid, theta, theta_on_grid
 from .operators import (
     FD2,
     MPS,
@@ -81,6 +81,8 @@ class ExperimentConfig:
         if self.n is not None and dx is None:
             return build_grid(L, self.n)
         dx = self.dx if dx is None else dx
+        if not (np.isfinite(L) and 0.0 < dx < np.inf):
+            raise ParameterError(f"need finite L and dx > 0, got L = {L}, dx = {dx}")
         N = int(round(L / dx))
         if abs(N * dx - L) > 1e-9 * L:
             raise ParameterError(f"L = {L} is not an integer multiple of dx = {dx}")
@@ -107,8 +109,7 @@ class ExperimentConfig:
             raise ParameterError(f"dense_cap must be >= 4, got {self.dense_cap}")
         if not 0 < self.x1 < self.x2:
             raise ParameterError(f"need 0 < x1 < x2, got x1={self.x1}, x2={self.x2}")
-        self.grid_for()  # surfaces grid-parameter errors early
-        MollifierSpec(sigma=self.sigma)
+        self.problem(FD2)  # surfaces grid, lam and sigma errors early
 
 
 def parse_lambda(text: str) -> complex:
@@ -419,8 +420,6 @@ def _suite_lattice():
 
 
 def _suite_mollifier():
-    from .mollifier import bump_phi, theta
-
     checks = []
     spec = MollifierSpec()
     for kc in (62.8, 157.1):
@@ -431,12 +430,7 @@ def _suite_mollifier():
         edge = bump_phi(spec.sigma * kc, kc, spec)
         checks.append((f"bump_support_kc{kc}", edge == 0.0, "exact"))
     grids = [build_grid(40.0, N) for N in (800, 2000)]
-    sups = []
-    for grid in grids:
-        th = theta_on_grid(grid, spec)
-        band = th[(np.abs(grid.k) > grid.kc / 2) & (np.abs(grid.k) < 0.75 * grid.kc)]
-        sups.append((np.max(np.diff(th[grid.k >= 0])), np.min(band), np.max(band)))
-    mono_ok = all(s[0] <= 1e-12 for s in sups)
+    mono_ok = all(np.all(np.diff(theta_on_grid(g, spec)[g.k >= 0]) <= 1e-12) for g in grids)
     checks.append(("theta_monotone", mono_ok, "non-increasing for k >= 0"))
     return checks
 

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import CapExceeded, ParameterError, SingularResolvent
-from .lattice import LatticeFunction, SpectralFunction, idft_values
+from .lattice import LatticeFunction, SpectralFunction, _check_index, idft_values
 from .operators import FD2, ProblemSpec, apply_hamiltonian, fourier_hamiltonian_matrix, scheme_symbol
 
 __all__ = [
@@ -66,12 +66,6 @@ def _delta_rhs(spec: ProblemSpec, y_index: int) -> np.ndarray:
     return rhs
 
 
-def _check_y_index(spec: ProblemSpec, y_index: int) -> int:
-    if not 0 <= y_index < spec.grid.N:
-        raise ParameterError(f"y_index must be in [0, {spec.grid.N}), got {y_index}")
-    return int(y_index)
-
-
 def _fd_banded_parts(spec: ProblemSpec):
     """Banded interior of lam - H for fd2 plus the Sherman-Morrison corner data.
 
@@ -115,13 +109,18 @@ def _solve_fd(spec: ProblemSpec, rhs: np.ndarray) -> np.ndarray:
     return z - np.outer(q, (v @ z) / denom)
 
 
-def _assemble_fourier_system(spec: ProblemSpec, dense_cap: int) -> np.ndarray:
-    N = spec.grid.N
+def _check_dense_cap(N: int, dense_cap: int) -> None:
     if N > dense_cap:
         raise CapExceeded(
-            f"dense Fourier solve needs N = {N} <= dense_cap = {dense_cap}; "
+            f"dense path needs N = {N} <= dense_cap = {dense_cap}; "
             "raise the cap explicitly to acknowledge the memory cost"
         )
+
+
+def _assemble_fourier_system(spec: ProblemSpec, dense_cap: int) -> np.ndarray:
+    """Dense lam - Hhat in the Fourier basis (ps and mps schemes), refused above dense_cap."""
+    N = spec.grid.N
+    _check_dense_cap(N, dense_cap)
     A = fourier_hamiltonian_matrix(spec)
     A *= -1.0
     A[np.arange(N), np.arange(N)] += spec.lam
@@ -150,9 +149,10 @@ def solve_green_column(
 
     The returned column carries its measured relative residual, which must be
     below 1e-10; otherwise lam is treated as numerically outside the resolvent
-    set and SingularResolvent is raised.
+    set and SingularResolvent is raised.  A Fourier solve whose residual is
+    above half the contract gets one step of iterative refinement.
     """
-    y_index = _check_y_index(spec, y_index)
+    y_index = _check_index(spec.grid, y_index)
     grid = spec.grid
     if spec.scheme == FD2:
         g = _solve_fd(spec, _delta_rhs(spec, y_index))
@@ -162,10 +162,11 @@ def solve_green_column(
         bhat = np.exp(-1j * grid.k * grid.x[y_index])
         ghat = scipy.linalg.lu_solve(lu, bhat)
         g = idft_values(grid, ghat)
-        if _column_residual(spec, g, y_index) > 0.5 * RESIDUAL_TOL:
-            ghat = ghat + scipy.linalg.lu_solve(lu, bhat - A @ ghat)
-            g = idft_values(grid, ghat)
     residual = _column_residual(spec, g, y_index)
+    if spec.scheme != FD2 and residual > 0.5 * RESIDUAL_TOL:
+        ghat = ghat + scipy.linalg.lu_solve(lu, bhat - A @ ghat)
+        g = idft_values(grid, ghat)
+        residual = _column_residual(spec, g, y_index)
     if not residual <= RESIDUAL_TOL:
         raise SingularResolvent(
             f"solve left relative residual {residual:.3e} > {RESIDUAL_TOL:.0e}; "
@@ -181,18 +182,10 @@ def solve_green_matrix(spec: ProblemSpec, dense_cap: int = DENSE_CAP_DEFAULT) ->
     path is capped at dense_cap because the result itself is dense N x N.
     """
     grid = spec.grid
-    N = grid.N
-    if N > dense_cap:
-        raise CapExceeded(
-            f"green matrix needs N = {N} <= dense_cap = {dense_cap}; "
-            "raise the cap explicitly to acknowledge the memory cost"
-        )
     if spec.scheme == FD2:
-        rhs = np.eye(N, dtype=complex) / grid.dx
-        return _solve_fd(spec, rhs)
-    A = _assemble_fourier_system(spec, dense_cap)
-    lu = _lu_factor(A)
+        _check_dense_cap(grid.N, dense_cap)
+        return _solve_fd(spec, np.eye(grid.N, dtype=complex) / grid.dx)
+    lu = _lu_factor(_assemble_fourier_system(spec, dense_cap))
     # DFT of e_y/dx for every y at once: bhat[k, y] = exp(-i k x_y)
     bhat = np.exp(-1j * np.outer(grid.k, grid.x))
-    ghat = scipy.linalg.lu_solve(lu, bhat)
-    return np.fft.ifft(np.roll(ghat, -(N // 2 - 1), axis=0), axis=0) / grid.dx
+    return idft_values(grid, scipy.linalg.lu_solve(lu, bhat))

@@ -37,11 +37,17 @@ def _readonly(a):
     return a
 
 
+def _check_index(grid: "GridSpec", y_index: int) -> int:
+    if not 0 <= y_index < grid.N:
+        raise ParameterError(f"y_index must be in [0, {grid.N}), got {y_index}")
+    return int(y_index)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Periodic grid with N equispaced points on [0, L).
 
-    Requires L >= 1, N even and >= 4, and dx = L/N <= 1 (so the Fourier
+    Requires finite L >= 1, N even and >= 4, and dx = L/N <= 1 (so the Fourier
     edge kc = pi/dx is at least pi).
     """
 
@@ -55,8 +61,8 @@ class GridSpec:
         object.__setattr__(self, "L", float(self.L))
         if self.N < 4 or self.N % 2 != 0:
             raise ParameterError(f"N must be even and >= 4, got {self.N}")
-        if self.L < 1.0:
-            raise ParameterError(f"L must be >= 1, got {self.L}")
+        if not 1.0 <= self.L < np.inf:
+            raise ParameterError(f"L must be finite and >= 1, got {self.L}")
         if self.L / self.N > 1.0:
             raise ParameterError(
                 f"grid spacing dx = L/N = {self.L / self.N} exceeds 1; refine the grid"
@@ -137,24 +143,26 @@ class SpectralFunction:
 # numpy's fft orders frequencies as n = 0, 1, .., N-1 (mod N); the canonical
 # storage is n = -N/2+1 .. N/2.  Position of index n in canonical order is
 # (n + N/2 - 1) mod N, hence the two orders differ by a roll of N/2 - 1.
+# All four helpers act along axis 0, so an N x M block is handled column by
+# column.
 
 
 def to_fft_order(values: np.ndarray, N: int) -> np.ndarray:
-    return np.roll(values, -(N // 2 - 1))
+    return np.roll(values, -(N // 2 - 1), axis=0)
 
 
 def from_fft_order(values: np.ndarray, N: int) -> np.ndarray:
-    return np.roll(values, N // 2 - 1)
+    return np.roll(values, N // 2 - 1, axis=0)
 
 
 def dft_values(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     """Forward transform of raw samples; returns canonical-order coefficients."""
-    return from_fft_order(np.fft.fft(values) * grid.dx, grid.N)
+    return from_fft_order(np.fft.fft(values, axis=0) * grid.dx, grid.N)
 
 
 def idft_values(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     """Inverse transform of canonical-order coefficients; returns raw samples."""
-    return np.fft.ifft(to_fft_order(coeffs, grid.N)) / grid.dx
+    return np.fft.ifft(to_fft_order(coeffs, grid.N), axis=0) / grid.dx
 
 
 def dft(f: LatticeFunction) -> SpectralFunction:

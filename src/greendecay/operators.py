@@ -23,7 +23,6 @@ from .lattice import (
     dft_values,
     idft_values,
     periodic_distance,
-    to_fft_order,
     _readonly,
 )
 from .mollifier import MollifierSpec, h_on_grid
@@ -42,7 +41,6 @@ __all__ = [
     "scheme_symbol",
     "apply_hamiltonian",
     "fourier_hamiltonian_matrix",
-    "potential_convolution_kernel",
     "spectral_difference",
 ]
 
@@ -69,6 +67,11 @@ class PotentialSpec:
     def __post_init__(self):
         if self.kind not in ("zero", "gaussian", "tabulated"):
             raise ParameterError(f"unknown potential kind {self.kind!r}")
+        if not np.all(np.isfinite((self.amplitude, self.rate, self.center))):
+            raise ParameterError(
+                f"potential parameters must be finite, got amplitude={self.amplitude}, "
+                f"rate={self.rate}, center={self.center}"
+            )
         if self.kind == "tabulated":
             v = np.asarray(self.table)
             if np.iscomplexobj(v) and np.any(v.imag != 0):
@@ -121,6 +124,8 @@ class ProblemSpec:
         if self.scheme not in SCHEMES:
             raise ParameterError(f"scheme must be one of {sorted(SCHEMES)}, got {self.scheme!r}")
         object.__setattr__(self, "lam", complex(self.lam))
+        if not np.isfinite(self.lam):
+            raise ParameterError(f"lam must be finite, got {self.lam}")
 
 
 def difference(f: LatticeFunction, direction: str) -> LatticeFunction:
@@ -178,33 +183,21 @@ def apply_hamiltonian(spec: ProblemSpec, f: LatticeFunction) -> LatticeFunction:
     return LatticeFunction(spec.grid, kinetic + V * f.values)
 
 
-def potential_convolution_kernel(spec: ProblemSpec) -> np.ndarray:
-    """First column c of the Fourier-space potential block, (1/L) Vhat_{k-l} = c[(k-l)/dk mod N].
-
-    The index k - l is folded back into K through the N*dk periodicity of the
-    discrete transform of V.
-    """
-    grid = spec.grid
-    Vh = dft_values(grid, spec.potential.evaluate(grid).astype(complex))
-    # entry for wavenumber index m sits at canonical position (m + N/2 - 1) mod N,
-    # so the first column (m = 0, -1, -2, ...) is the FFT-order view of Vhat
-    return to_fft_order(Vh, grid.N) / grid.L
-
-
 def fourier_hamiltonian_matrix(spec: ProblemSpec) -> np.ndarray:
     """Dense matrix of H in the Fourier basis: H_kl = s_k delta_kl + (1/L) Vhat_{k-l}.
 
     Defined for the ps and mps schemes, whose Fourier kinetic part is diagonal;
-    rows and columns follow the canonical K ordering.
+    rows and columns follow the canonical K ordering.  The index k - l is
+    folded back into K through the N*dk periodicity of the discrete transform
+    of V, so the block is the circulant whose first column (k - l = 0, -1,
+    -2, ...) is Vhat/L in FFT order.
     """
     if spec.scheme == FD2:
         raise ParameterError("fourier_hamiltonian_matrix is defined for ps and mps schemes")
     grid = spec.grid
-    sym = scheme_symbol(spec).astype(complex)
-    if spec.potential.is_zero():
-        return np.diag(sym)
-    H = circulant(potential_convolution_kernel(spec))
-    H[np.arange(grid.N), np.arange(grid.N)] += sym
+    V = spec.potential.evaluate(grid).astype(complex)
+    H = circulant(np.fft.fft(V) * grid.dx / grid.L)
+    H[np.arange(grid.N), np.arange(grid.N)] += scheme_symbol(spec)
     return H
 
 

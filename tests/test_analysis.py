@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from greendecay import (
@@ -16,11 +17,13 @@ from greendecay import (
     ParameterError,
     PotentialSpec,
     ProblemSpec,
+    SingularResolvent,
     SpectralFunction,
     build_grid,
     decay_profile,
     decay_report,
     fd_characteristic_rate,
+    fourier_hamiltonian_matrix,
     h_on_grid,
     h_ratio_sup,
     matrix_2norm,
@@ -283,6 +286,41 @@ def test_weighted_G_h_norm_gaussian_satisfies_bound():
     assert res.bound == pytest.approx(
         1.0 + res.resolvent_norm * (9.0 + np.sqrt(2 * np.pi) * 10.0), rel=1e-12
     )
+
+
+def dense_inverse_G_h_norms(spec):
+    """(||Ghat (1+h)||, ||Ghat||) through the explicit inverse and two full SVDs."""
+    ghat = np.linalg.inv(spec.lam * np.eye(spec.grid.N) - fourier_hamiltonian_matrix(spec))
+    h = h_on_grid(spec.grid, spec.mollifier)
+    return (scipy.linalg.svdvals(ghat * (1.0 + h)[None, :])[0],
+            scipy.linalg.svdvals(ghat)[0])
+
+
+@pytest.mark.parametrize("lam", [-10.0, -1.0, complex(-1.0, 0.5), complex(30.0, 2.0)])
+@pytest.mark.parametrize("L, N", [(40.0, 256), (10.0, 64), (16.0, 128)])
+def test_weighted_G_h_norm_matches_dense_inverse(lam, L, N):
+    spec = ProblemSpec(build_grid(L, N), lam, PotentialSpec.gaussian(10.0, 0.2, 3.0), MPS)
+    res = weighted_G_h_norm(spec)
+    value, resolvent_norm = dense_inverse_G_h_norms(spec)
+    assert_allclose(res.value, value, rtol=1e-11)
+    assert_allclose(res.resolvent_norm, resolvent_norm, rtol=1e-11)
+    assert res.value <= res.bound
+
+
+def test_weighted_G_h_norm_singular_at_eigenvalue():
+    grid = build_grid(40.0, 128)
+    pot = PotentialSpec.gaussian(10.0, 0.2)
+    mu = scipy.linalg.eigvalsh(fourier_hamiltonian_matrix(ProblemSpec(grid, 0.0, pot, MPS)))
+    for j in (0, 40, 127):
+        with pytest.raises(SingularResolvent):
+            weighted_G_h_norm(ProblemSpec(grid, mu[j], pot, MPS))
+
+
+def test_weighted_G_h_norm_cap():
+    spec = ProblemSpec(build_grid(40.0, 256), -10.0, PotentialSpec.gaussian(10.0, 0.2), MPS)
+    with pytest.raises(CapExceeded):
+        weighted_G_h_norm(spec, dense_cap=128)
+    weighted_G_h_norm(spec, dense_cap=256)
 
 
 def test_weighted_G_h_norm_requires_mps():

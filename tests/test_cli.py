@@ -199,6 +199,33 @@ def test_invalid_parameter_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("L, dx", [(float("nan"), 0.02), (float("inf"), 0.02), (40.0, float("nan")),
+                                   (40.0, float("inf")), (40.0, 0.0)])
+def test_grid_for_rejects_non_finite_spacing(L, dx):
+    with pytest.raises(ParameterError):
+        ExperimentConfig(experiment="profile", L=L, dx=dx).grid_for()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--lambda", "nan"],
+    ["--lambda=-1+nani"],
+    ["--potential", "gaussian:nan,0.2"],
+    ["--potential", "gaussian:10,inf"],
+    ["--dx", "nan"],
+    ["--L", "nan"],
+    ["--L", "inf"],
+])
+def test_non_finite_input_exits_with_parameter_error(tmp_path, capsys, flags):
+    # values that fail their type's own check exit through argparse, also with code 2
+    try:
+        rc = main(["profile", "--scheme", "fd2", "--out", str(tmp_path)] + flags)
+    except SystemExit as stop:
+        rc = stop.code
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "run.meta").exists()
+
+
 # ---------------------------------------------------------------- verify
 
 

@@ -1,5 +1,6 @@
 """Green's column and matrix solvers across the three schemes."""
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -146,6 +147,39 @@ def test_dense_cap_enforced_for_fourier_column():
     with pytest.raises(CapExceeded):
         solve_green_column(spec, 0, dense_cap=128)
     solve_green_column(spec, 0, dense_cap=256)
+
+
+def _mp_free_mps_column(L, N, lam, i):
+    """30-digit direct sum G(x_i) = (1/L) sum_k exp(i k x_i)/(lam - h(k)), theta by mpmath.quad."""
+    with mpmath.workdps(30):
+        L, lam = mpmath.mpf(L), mpmath.mpf(lam)
+        dk = 2 * mpmath.pi / L
+        kc = (N // 2) * dk
+        x = i * L / N
+        bump = lambda t: mpmath.exp(-1 / (1 - t * t))  # noqa: E731
+        profile = mpmath.quad(bump, [-1, 1])
+        total = mpmath.mpf(0)
+        for n in range(N // 2 + 1):  # h is even: n and -n pair up, n = N/2 stands alone
+            k = n * dk
+            if k <= kc / 2:
+                h = k * k
+            elif k >= 3 * kc / 4:
+                h = kc * kc
+            else:
+                theta = mpmath.quad(bump, [(k - 5 * kc / 8) / (kc / 8), 1]) / profile
+                h = theta * (k * k - kc * kc) + kc * kc
+            total += (1 if n in (0, N // 2) else 2) * mpmath.cos(k * x) / (lam - h)
+        return total / L
+
+
+def test_mps_free_column_tail_against_mpmath():
+    # C7's free mps column at x = 15 sits at 4.5e-14 of max|G|, where the accuracy
+    # of theta shows; a 30-digit sum with the exact cutoff gives 7.18664e-15
+    L, N, lam, i15 = 40.0, 2000, -10.0, 750
+    col = solve_green_column(free_problem(MPS, lam=lam, L=L, N=N), 0)
+    exact = float(_mp_free_mps_column(L, N, lam, i15))
+    assert abs(exact) == pytest.approx(7.18664e-15, rel=1e-5)
+    assert abs(abs(col.g.values[i15]) - abs(exact)) <= 3e-4 * abs(exact)
 
 
 # ---------------------------------------------------------------- matrices

@@ -18,6 +18,7 @@ from greendecay import (
     norm,
     periodic_distance,
 )
+from greendecay.lattice import dft_values, idft_values
 
 
 def random_function(grid, rng):
@@ -58,6 +59,12 @@ def test_build_grid_rejects_bad_parameters(L, N):
     # odd N, tiny N, L < 1, and dx > 1 must all be rejected
     with pytest.raises(ParameterError):
         build_grid(L, N)
+
+
+@pytest.mark.parametrize("L", [float("nan"), float("inf"), -float("inf")])
+def test_grid_rejects_non_finite_length(L):
+    with pytest.raises(ParameterError):
+        GridSpec(L, 100)
 
 
 def test_build_grid_rejects_coarse_spacing():
@@ -123,6 +130,17 @@ def test_round_trip_both_ways():
     fh = SpectralFunction(grid, rng.standard_normal(170) + 1j * rng.standard_normal(170))
     back_h = dft(idft(fh))
     assert np.max(np.abs(back_h.values - fh.values)) <= 1e-12 * np.max(np.abs(fh.values))
+
+
+def test_block_transforms_act_column_by_column():
+    rng = np.random.default_rng(8)
+    grid = build_grid(17.0, 170)
+    block = rng.standard_normal((170, 5)) + 1j * rng.standard_normal((170, 5))
+    for transform in (dft_values, idft_values):
+        whole = transform(grid, block)
+        by_column = np.column_stack([transform(grid, block[:, j]) for j in range(5)])
+        assert whole.shape == block.shape
+        assert np.max(np.abs(whole - by_column)) <= 1e-15 * np.max(np.abs(by_column))
 
 
 @pytest.mark.parametrize("N", [64, 128])

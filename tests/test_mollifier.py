@@ -1,5 +1,6 @@
 """Bump function, smooth cutoff, and mollified Laplacian symbol."""
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -30,7 +31,7 @@ def test_spec_validation():
     with pytest.raises(ParameterError):
         MollifierSpec(sigma=0.0)
     with pytest.raises(ParameterError):
-        MollifierSpec(quad_rel_tol=1e-3)
+        MollifierSpec(sigma=float("nan"))
 
 
 def test_bump_vanishes_at_support_boundary():
@@ -168,3 +169,37 @@ def test_grid_values_match_scalar_calls():
     h = h_on_grid(grid, spec)
     for pos in (0, 100, 250, 300, 399, 799):
         assert h[pos] == h_symbol(float(grid.k[pos]), grid.kc, spec)
+
+
+# ---------------------------------------------------------------- mpmath oracle
+
+
+def _mp_bump_mass(a, b):
+    """30-digit integral of exp(-1/(1-t^2)) over [a, b], a subset of [-1, 1]."""
+    with mpmath.workdps(30):
+        return mpmath.quad(lambda t: mpmath.exp(-1 / (1 - t * t)), [a, b])
+
+
+def test_profile_integral_against_mpmath():
+    # bump_phi(0) * sigma * kc = exp(-1) / (profile integral)
+    spec = MollifierSpec()
+    kc = 157.1
+    profile = np.exp(-1.0) / (bump_phi(0.0, kc, spec) * spec.sigma * kc)
+    exact = _mp_bump_mass(-1, 1)
+    assert abs(profile - float(exact)) <= 1e-15
+
+
+@pytest.mark.parametrize("sigma", [0.125, 0.05])
+def test_theta_band_against_mpmath(sigma):
+    # theta in the band is the bump's mass over [t0, 1], t0 = (|k| - 5kc/8)/(sigma kc)
+    spec = MollifierSpec(sigma=sigma)
+    kc = 157.1
+    ks = np.linspace(0.5 * kc, 0.75 * kc, 62)[1:-1]
+    vals = theta(ks, kc, spec)
+    total = _mp_bump_mass(-1, 1)
+    worst = 0.0
+    for k, v in zip(ks, vals):
+        t0 = min(max((k - 0.625 * kc) / (sigma * kc), -1.0), 1.0)
+        exact = _mp_bump_mass(mpmath.mpf(t0), 1) / total
+        worst = max(worst, abs(v - float(exact)))
+    assert worst <= 1e-15

@@ -75,6 +75,21 @@ def test_problem_spec_rejects_unknown_scheme():
         ProblemSpec(grid, -1.0, PotentialSpec.zero(), "spectral")
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("lam", [NAN, INF, complex(-1.0, NAN), complex(-INF, 1.0)])
+def test_problem_spec_rejects_non_finite_lam(lam):
+    with pytest.raises(ParameterError):
+        ProblemSpec(build_grid(8.0, 16), lam, PotentialSpec.zero(), MPS)
+
+
+@pytest.mark.parametrize("params", [(NAN, 0.2), (10.0, INF), (10.0, NAN), (INF, 0.2), (10.0, 0.2, NAN)])
+def test_gaussian_potential_rejects_non_finite_parameters(params):
+    with pytest.raises(ParameterError):
+        PotentialSpec.gaussian(*params)
+
+
 # ---------------------------------------------------------------- differences
 
 
