@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ParameterError
-from .greens import DENSE_CAP_DEFAULT, solve_green_column
+from .greens import solve_green_column
 from .lattice import (
     GridSpec,
     LatticeFunction,
@@ -27,7 +27,6 @@ from .lattice import (
     idft,
     mollified_distance,
     norm,
-    periodic_distance,
 )
 from .mollifier import MollifierSpec, bump_phi, h_on_grid, theta, theta_on_grid
 from .operators import (
@@ -74,7 +73,6 @@ class ExperimentConfig:
     sweep_dx: tuple[float, ...] = (0.05, 0.02, 0.01)
     out_dir: Path = Path("out")
     workers: int = 1
-    dense_cap: int = DENSE_CAP_DEFAULT
 
     def grid_for(self, L: float | None = None, dx: float | None = None) -> GridSpec:
         L = self.L if L is None else L
@@ -105,8 +103,6 @@ class ExperimentConfig:
                 raise ParameterError(f"unknown scheme {s!r}")
         if self.workers < 1:
             raise ParameterError(f"workers must be >= 1, got {self.workers}")
-        if self.dense_cap < 4:
-            raise ParameterError(f"dense_cap must be >= 4, got {self.dense_cap}")
         if not 0 < self.x1 < self.x2:
             raise ParameterError(f"need 0 < x1 < x2, got x1={self.x1}, x2={self.x2}")
         self.problem(FD2)  # surfaces grid, lam and sigma errors early
@@ -136,8 +132,10 @@ def parse_potential(text: str) -> PotentialSpec:
             raise ParameterError(f"non-numeric gaussian parameter in {text!r}")
         return PotentialSpec.gaussian(*nums)
     if text.startswith("file:"):
-        path = Path(text[len("file:"):])
-        values = np.loadtxt(path, ndmin=1)
+        try:
+            values = np.loadtxt(Path(text[len("file:"):]), ndmin=1)
+        except (OSError, ValueError) as err:
+            raise ParameterError(f"cannot read potential table {text!r}: {err}") from None
         return PotentialSpec.tabulated(values)
     raise ParameterError(f"cannot parse potential {text!r}")
 
@@ -162,6 +160,17 @@ def _floats_list(text: str) -> tuple[float, ...]:
         raise ParameterError(f"cannot parse float list {text!r}")
 
 
+# config-file keys, each with the ExperimentConfig field it sets and the parser of
+# its text; flags carry the same names (--lambda is stored as lam) and win over the file
+_CONFIG_KEYS = {
+    "L": ("L", float), "dx": ("dx", float), "n": ("n", int), "lambda": ("lam", parse_lambda),
+    "scheme": ("schemes", lambda text: tuple(s.strip() for s in text.split(",") if s.strip())),
+    "potential": ("potential", parse_potential), "x1": ("x1", float), "x2": ("x2", float),
+    "sigma": ("sigma", float), "workers": ("workers", int), "sweep_l": ("sweep_l", _floats_list),
+    "sweep_dx": ("sweep_dx", _floats_list), "out": ("out_dir", Path),
+}
+
+
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     """Defaults, then the config file, then explicit flags (flags win)."""
     cfg = ExperimentConfig(experiment=args.experiment)
@@ -173,59 +182,20 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         cfg.schemes = (MPS,)
         cfg.lam = complex(-1.0)
 
-    file_values = {}
-    if getattr(args, "config", None):
-        file_values = _read_config_file(Path(args.config))
-
-    def pick(flag_name, file_key=None):
-        flag = getattr(args, flag_name, None)
+    file_values = _read_config_file(Path(args.config)) if getattr(args, "config", None) else {}
+    given = {}
+    for key, (name, parse) in _CONFIG_KEYS.items():
+        flag = getattr(args, "lam" if key == "lambda" else key, None)
         if flag is not None:
-            return flag, True
-        key = file_key or flag_name
-        if key in file_values:
-            return file_values[key], True
-        return None, False
-
-    value, given = pick("L")
-    if given:
-        cfg.L = float(value)
-    value, given = pick("dx")
-    dx_given = given
-    if given:
-        cfg.dx = float(value)
-    value, given = pick("n")
-    if given:
-        if dx_given:
+            given[name] = tuple(flag) if name == "schemes" else flag
+        elif key in file_values:
+            given[name] = parse(file_values[key])
+    if "n" in given:
+        if "dx" in given:
             raise ParameterError("give either --dx or --n, not both")
-        cfg.n = int(value)
-        cfg.dx = None
-    value, given = pick("lam", "lambda")
-    if given:
-        cfg.lam = value if isinstance(value, complex) else parse_lambda(str(value))
-    value, given = pick("scheme")
-    if given:
-        if isinstance(value, str):
-            schemes = tuple(s.strip() for s in value.split(",") if s.strip())
-        else:
-            schemes = tuple(value)
-        cfg.schemes = schemes
-    value, given = pick("potential")
-    if given:
-        cfg.potential = value if isinstance(value, PotentialSpec) else parse_potential(str(value))
-    for name, cast in (("x1", float), ("x2", float), ("sigma", float),
-                       ("workers", int), ("dense_cap", int)):
-        value, given = pick(name)
-        if given:
-            setattr(cfg, name, cast(value))
-    value, given = pick("sweep_l")
-    if given:
-        cfg.sweep_l = value if isinstance(value, tuple) else _floats_list(str(value))
-    value, given = pick("sweep_dx")
-    if given:
-        cfg.sweep_dx = value if isinstance(value, tuple) else _floats_list(str(value))
-    value, given = pick("out")
-    if given:
-        cfg.out_dir = Path(value)
+        given["dx"] = None
+    for name, value in given.items():
+        setattr(cfg, name, value)
     cfg.validate()
     return cfg
 
@@ -253,7 +223,7 @@ def write_meta(path: Path, entries: dict) -> Path:
     return path
 
 
-def _meta_entries(cfg: ExperimentConfig, wall_time: float, extra: dict | None = None) -> dict:
+def _meta_entries(cfg: ExperimentConfig, wall_time: float) -> dict:
     import scipy
 
     pot = cfg.potential
@@ -277,12 +247,10 @@ def _meta_entries(cfg: ExperimentConfig, wall_time: float, extra: dict | None = 
         "sweep_l": ",".join(_fmt(v) for v in cfg.sweep_l),
         "sweep_dx": ",".join(_fmt(v) for v in cfg.sweep_dx),
         "workers": cfg.workers,
-        "dense_cap": cfg.dense_cap,
         "greendecay_version": __version__,
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
     }
-    entries.update(extra or {})
     entries["wall_time_s"] = f"{wall_time:.3f}"
     return entries
 
@@ -304,7 +272,7 @@ def run_profile(cfg: ExperimentConfig, out: Path) -> list[Path]:
     grid = cfg.grid_for()
 
     def one(scheme):
-        col = solve_green_column(cfg.problem(scheme), 0, dense_cap=cfg.dense_cap)
+        col = solve_green_column(cfg.problem(scheme), 0)
         return scheme, decay_profile(col)
 
     for scheme, prof in _sweep_map(cfg.workers, one, cfg.schemes):
@@ -314,31 +282,27 @@ def run_profile(cfg: ExperimentConfig, out: Path) -> list[Path]:
     return files
 
 
-def run_gamma_sweep_l(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def _gamma_sweep(cfg: ExperimentConfig, out: Path, column: str, points, problem_at) -> list[Path]:
+    """gamma over sweep points per scheme, one CSV each, first column the grid's L or kc."""
     files = []
     for scheme in cfg.schemes:
 
-        def one(L):
-            col = solve_green_column(cfg.problem(scheme, L=L), 0, dense_cap=cfg.dense_cap)
-            return L, measure_gamma(col, cfg.x1, cfg.x2)
+        def one(point):
+            col = solve_green_column(problem_at(scheme, point), 0)
+            return getattr(col.problem.grid, column), measure_gamma(col, cfg.x1, cfg.x2)
 
-        rows = _sweep_map(cfg.workers, one, cfg.sweep_l)
-        files.append(write_csv(out / f"gamma_sweep_l_{scheme}.csv", "L,gamma", rows))
+        rows = _sweep_map(cfg.workers, one, points)
+        name = f"gamma_sweep_{column.lower()}_{scheme}.csv"
+        files.append(write_csv(out / name, f"{column},gamma", rows))
     return files
+
+
+def run_gamma_sweep_l(cfg: ExperimentConfig, out: Path) -> list[Path]:
+    return _gamma_sweep(cfg, out, "L", cfg.sweep_l, lambda scheme, L: cfg.problem(scheme, L=L))
 
 
 def run_gamma_sweep_kc(cfg: ExperimentConfig, out: Path) -> list[Path]:
-    files = []
-    for scheme in cfg.schemes:
-
-        def one(dx):
-            problem = cfg.problem(scheme, dx=dx)
-            col = solve_green_column(problem, 0, dense_cap=cfg.dense_cap)
-            return problem.grid.kc, measure_gamma(col, cfg.x1, cfg.x2)
-
-        rows = _sweep_map(cfg.workers, one, cfg.sweep_dx)
-        files.append(write_csv(out / f"gamma_sweep_kc_{scheme}.csv", "kc,gamma", rows))
-    return files
+    return _gamma_sweep(cfg, out, "kc", cfg.sweep_dx, lambda scheme, dx: cfg.problem(scheme, dx=dx))
 
 
 def run_mollifier(cfg: ExperimentConfig, out: Path) -> list[Path]:
@@ -352,7 +316,7 @@ def run_mollifier(cfg: ExperimentConfig, out: Path) -> list[Path]:
 def run_moments(cfg: ExperimentConfig, out: Path) -> list[Path]:
     files = []
     for scheme in cfg.schemes:
-        col = solve_green_column(cfg.problem(scheme), 0, dense_cap=cfg.dense_cap)
+        col = solve_green_column(cfg.problem(scheme), 0)
         m_max = min(10, col.problem.grid.N // 16)
         rows = [(m,) + moment_check(col, m) for m in range(m_max + 1)]
         files.append(write_csv(out / f"moments_{scheme}.csv", "m,lhs,rhs", rows))
@@ -579,11 +543,15 @@ def _common_parser() -> argparse.ArgumentParser:
                    help="comma-separated domain lengths for the L sweep")
     p.add_argument("--sweep-dx", dest="sweep_dx", type=_floats_list, default=None,
                    help="comma-separated spacings for the kc sweep")
-    p.add_argument("--out", default=None, help="output directory")
+    p.add_argument("--out", type=Path, default=None, help="output directory")
     p.add_argument("--workers", type=int, default=None, help="concurrent sweep evaluations")
-    p.add_argument("--dense-cap", dest="dense_cap", type=int, default=None,
-                   help="largest N admitted to dense matrix paths")
     return p
+
+
+def _suite_name(name: str) -> str:
+    if name not in VERIFY_SUITES:
+        raise argparse.ArgumentTypeError(f"invalid choice: {name!r} (choose from {VERIFY_SUITES})")
+    return name
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -605,8 +573,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("moments", parents=[common],
                    help="moment-bound table m, lhs, rhs per scheme")
     vp = sub.add_parser("verify", parents=[common], help="run verification suites")
-    vp.add_argument("suites", nargs="*", choices=VERIFY_SUITES,
-                    default=list(VERIFY_SUITES), help="suites to run (default: all)")
+    # checked per name, not by choices: Python 3.11 argparse checks an empty list against choices
+    vp.add_argument("suites", nargs="*", type=_suite_name, metavar="SUITE",
+                    help=f"suites to run, from {', '.join(VERIFY_SUITES)} (default: all)")
     return parser
 
 
@@ -615,7 +584,7 @@ def main(argv=None) -> int:
     command = args.command
     try:
         if command == "verify":
-            return verify(tuple(args.suites))
+            return verify(tuple(args.suites) or VERIFY_SUITES)
         args.experiment = command.replace("-", "_")
         cfg = resolve_config(args)
         files = run_experiment(cfg)

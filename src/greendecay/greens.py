@@ -1,9 +1,10 @@
 """Solvers for (lam - H) g = e_y / dx and full discretized Green's matrices.
 
 The fd2 scheme solves the periodic tridiagonal system in O(N) via a rank-one
-corner correction of a banded solve.  The ps and mps schemes assemble
-lam - Hhat in Fourier space (dense), factorize once with partial pivoting,
-solve against the transformed delta (a pure phase), and invert-transform.
+corner correction of a banded solve.  A ps or mps column is the inverse
+transform of e^{-i k x_y} / (lam - s(k)) for V = 0, and otherwise comes from
+GMRES with lam - H applied by FFT, O(N log N) per step.  Only the Green's
+matrix, itself dense, assembles and factorizes lam - Hhat.
 """
 
 import warnings
@@ -11,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
 from .errors import CapExceeded, ParameterError, SingularResolvent
-from .lattice import LatticeFunction, SpectralFunction, _check_index, idft_values
+from .lattice import LatticeFunction, SpectralFunction, _check_index, idft_values, to_fft_order
 from .operators import FD2, ProblemSpec, apply_hamiltonian, fourier_hamiltonian_matrix, scheme_symbol
 
 __all__ = [
@@ -29,19 +31,28 @@ DENSE_CAP_DEFAULT = 4096
 # relative residual contract on every returned column
 RESIDUAL_TOL = 1e-10
 
+KRYLOV_RTOL = 1e-14  # GMRES on ps/mps columns, see _solve_fourier_krylov
+KRYLOV_RESTART = 64  # most solves end within the first cycle
+KRYLOV_MAXITER = 8  # restart cycles
+PRECOND_FLOOR = 0.1  # fraction of max|V - mean(V)|
+
 
 @dataclass(frozen=True, eq=False)
 class GreensColumn:
     """One column g of the Green's function, (lam - H) g = e_y / dx.
 
     residual is ||(lam - H) g - e_y/dx||_2 / ||e_y/dx||_2, measured through the
-    matrix-free operator application (independent of the solve path).
+    matrix-free operator application (independent of the solve path).  solver
+    is "fd2-banded", "spectral-closed-form" or "spectral-krylov" (None for a
+    column built by hand); iterations counts GMRES steps, 0 on direct paths.
     """
 
     problem: ProblemSpec
     y_index: int
     g: LatticeFunction
     residual: float
+    solver: str | None = None
+    iterations: int = 0
 
 
 def closed_form_ghat(spec: ProblemSpec) -> SpectralFunction:
@@ -127,13 +138,33 @@ def _assemble_fourier_system(spec: ProblemSpec, dense_cap: int) -> np.ndarray:
     return A
 
 
-def _lu_factor(A: np.ndarray):
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-            return scipy.linalg.lu_factor(A)
-    except (scipy.linalg.LinAlgError, scipy.linalg.LinAlgWarning) as err:
-        raise SingularResolvent(f"dense factorization failed: {err}") from None
+def _solve_fourier_krylov(spec: ProblemSpec, rhs: np.ndarray) -> tuple[np.ndarray, int]:
+    """ps/mps (lam - H) g = rhs by right-preconditioned GMRES; returns g and the step count.
+
+    lam - H = M - W: M = lam - s(k) - mean(V) is diagonal in Fourier space and
+    W = V - mean(V) multiplies.  GMRES solves (lam - H) P z = rhs, minimizing
+    the true residual, and g = P z; a step costs three FFTs.  P is 1/M with |M|
+    floored at PRECOND_FLOOR * max|W|, so a lam next to some s(k) + mean(V)
+    cannot blow it up.
+    """
+    V = spec.potential.evaluate(spec.grid)
+    W = V - V.mean()
+    m = to_fft_order(spec.lam - scheme_symbol(spec) - V.mean(), V.size)
+    floor = PRECOND_FLOOR * np.max(np.abs(W))
+    m_pre = np.where(np.abs(m) < floor, floor, m)
+    if not np.all(m_pre):  # V is constant, so lam - H = M, and M has a zero
+        raise SingularResolvent(f"lam - mean(V) = {spec.lam - V.mean()} is on the {spec.scheme} symbol")
+
+    def apply(z):  # (lam - H) P z
+        u = np.fft.fft(z) / m_pre
+        return np.fft.ifft(m * u) - W * np.fft.ifft(u)
+
+    steps = []
+    op = scipy.sparse.linalg.LinearOperator((V.size, V.size), matvec=apply, dtype=complex)
+    z, _ = scipy.sparse.linalg.gmres(op, rhs, rtol=KRYLOV_RTOL, restart=KRYLOV_RESTART,
+                                     maxiter=KRYLOV_MAXITER, callback=steps.append,
+                                     callback_type="pr_norm")
+    return np.fft.ifft(np.fft.fft(z) / m_pre), len(steps)
 
 
 def _column_residual(spec: ProblemSpec, g: np.ndarray, y_index: int) -> float:
@@ -142,37 +173,32 @@ def _column_residual(spec: ProblemSpec, g: np.ndarray, y_index: int) -> float:
     return float(np.linalg.norm(r) / np.linalg.norm(rhs))
 
 
-def solve_green_column(
-    spec: ProblemSpec, y_index: int, dense_cap: int = DENSE_CAP_DEFAULT
-) -> GreensColumn:
+def solve_green_column(spec: ProblemSpec, y_index: int) -> GreensColumn:
     """Solve (lam - H) g = e_y / dx for one source index y.
 
-    The returned column carries its measured relative residual, which must be
-    below 1e-10; otherwise lam is treated as numerically outside the resolvent
-    set and SingularResolvent is raised.  A Fourier solve whose residual is
-    above half the contract gets one step of iterative refinement.
+    fd2 takes the banded solve; ps and mps the closed form when V = 0 and
+    matrix-free GMRES otherwise.  The column carries its measured relative
+    residual, which must be below 1e-10; otherwise lam is treated as
+    numerically outside the resolvent set and SingularResolvent is raised.
     """
     y_index = _check_index(spec.grid, y_index)
     grid = spec.grid
+    iterations = 0
     if spec.scheme == FD2:
-        g = _solve_fd(spec, _delta_rhs(spec, y_index))
+        solver, g = "fd2-banded", _solve_fd(spec, _delta_rhs(spec, y_index))
+    elif spec.potential.is_zero():
+        solver = "spectral-closed-form"
+        g = idft_values(grid, closed_form_ghat(spec).values * np.exp(-1j * grid.k * grid.x[y_index]))
     else:
-        A = _assemble_fourier_system(spec, dense_cap)
-        lu = _lu_factor(A)
-        bhat = np.exp(-1j * grid.k * grid.x[y_index])
-        ghat = scipy.linalg.lu_solve(lu, bhat)
-        g = idft_values(grid, ghat)
+        solver = "spectral-krylov"
+        g, iterations = _solve_fourier_krylov(spec, _delta_rhs(spec, y_index))
     residual = _column_residual(spec, g, y_index)
-    if spec.scheme != FD2 and residual > 0.5 * RESIDUAL_TOL:
-        ghat = ghat + scipy.linalg.lu_solve(lu, bhat - A @ ghat)
-        g = idft_values(grid, ghat)
-        residual = _column_residual(spec, g, y_index)
     if not residual <= RESIDUAL_TOL:
         raise SingularResolvent(
             f"solve left relative residual {residual:.3e} > {RESIDUAL_TOL:.0e}; "
             "lam is numerically singular for this discretization"
         )
-    return GreensColumn(spec, y_index, LatticeFunction(grid, g), residual)
+    return GreensColumn(spec, y_index, LatticeFunction(grid, g), residual, solver, iterations)
 
 
 def solve_green_matrix(spec: ProblemSpec, dense_cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
@@ -185,7 +211,12 @@ def solve_green_matrix(spec: ProblemSpec, dense_cap: int = DENSE_CAP_DEFAULT) ->
     if spec.scheme == FD2:
         _check_dense_cap(grid.N, dense_cap)
         return _solve_fd(spec, np.eye(grid.N, dtype=complex) / grid.dx)
-    lu = _lu_factor(_assemble_fourier_system(spec, dense_cap))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+            lu = scipy.linalg.lu_factor(_assemble_fourier_system(spec, dense_cap))
+    except (scipy.linalg.LinAlgError, scipy.linalg.LinAlgWarning) as err:
+        raise SingularResolvent(f"dense factorization failed: {err}") from None
     # DFT of e_y/dx for every y at once: bhat[k, y] = exp(-i k x_y)
     bhat = np.exp(-1j * np.outer(grid.k, grid.x))
     return idft_values(grid, scipy.linalg.lu_solve(lu, bhat))

@@ -231,8 +231,8 @@ def mollified_distance(x, y, L: float):
     first derivative satisfies |d1| <= 1 and the second is bounded uniformly
     in L.  Accepts scalars or arrays; x, y need not be lattice points.
     """
-    if L < 1.0:
-        raise ParameterError(f"L must be >= 1, got {L}")
+    if not 1.0 <= L < np.inf:
+        raise ParameterError(f"L must be finite and >= 1, got {L}")
     dmax = np.sqrt(L * L / 4.0 + 1.0)
     u = np.remainder(np.asarray(x, dtype=float) - y, L)
     # two branches: u in [0, L/2) uses s = u, u in [L/2, L) uses s = L - u

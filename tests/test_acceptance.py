@@ -45,10 +45,9 @@ def announce(criterion, ok, detail):
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}", flush=True)
 
 
-def free_column(scheme, lam, L, dx, y=0, dense_cap=8192):
+def free_column(scheme, lam, L, dx, y=0):
     grid = build_grid(L, int(round(L / dx)))
-    return solve_green_column(ProblemSpec(grid, lam, PotentialSpec.zero(), scheme), y,
-                              dense_cap=dense_cap)
+    return solve_green_column(ProblemSpec(grid, lam, PotentialSpec.zero(), scheme), y)
 
 
 def closed_form_column(scheme, lam, L, dx):
@@ -346,7 +345,7 @@ def gamma_sweeps():
         grid = build_grid(40.0, int(round(40.0 / dx)))
         col_fd = solve_green_column(ProblemSpec(grid, -10.0, GAUSSIAN, FD2), 0)
         fd_by_dx[dx] = measure_gamma(col_fd, 1.0, 7.0)
-        col_mps = solve_green_column(ProblemSpec(grid, -10.0, GAUSSIAN, MPS), 0, dense_cap=8192)
+        col_mps = solve_green_column(ProblemSpec(grid, -10.0, GAUSSIAN, MPS), 0)
         mps_by_dx[dx] = measure_gamma(col_mps, 1.0, 7.0)
     return GammaSweeps(fd_by_L, fd_by_dx, mps_by_dx, time.perf_counter() - start)
 

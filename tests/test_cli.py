@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from greendecay import ParameterError, build_grid
+from greendecay import cli
 from greendecay.cli import (
+    VERIFY_SUITES,
     ExperimentConfig,
     main,
     parse_lambda,
@@ -187,10 +189,24 @@ def test_moments_experiment(tmp_path):
     assert all(r[1] <= r[2] * (1 + 1e-10) for r in rows)
 
 
-def test_dense_cap_error_surfaces(tmp_path):
-    rc = main(["profile", "--L", "16", "--dx", "0.25", "--scheme", "ps",
-               "--dense-cap", "32", "--out", str(tmp_path)])
-    assert rc == 1  # CapExceeded surfaces with nonzero exit
+def test_spectral_profile_has_no_size_cap(tmp_path):
+    # ps columns are matrix-free: N = 4200 lies above the 4096 of the dense paths
+    rc = main(["profile", "--L", "42", "--n", "4200", "--lambda", "-4", "--scheme", "ps",
+               "--potential", "gaussian:2,0.5", "--out", str(tmp_path)])
+    assert rc == 0
+    assert len(read_lines(tmp_path / "profile_ps.csv")) == 1 + 2101
+
+
+def test_malformed_potential_table_in_config_is_a_parameter_error(tmp_path, capsys):
+    table = tmp_path / "v.txt"
+    table.write_text("0.1\nnot-a-number\n")
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"potential=file:{table}\n")
+    rc = main(["profile", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "error: cannot read potential table" in capsys.readouterr().err
+    with pytest.raises(ParameterError):
+        parse_potential(f"file:{tmp_path / 'missing.txt'}")
 
 
 def test_invalid_parameter_exit_code(tmp_path, capsys):
@@ -236,6 +252,17 @@ def test_verify_fast_suites_pass(capsys):
     assert "PASS lattice.parseval" in out
     assert "PASS leibniz.leibniz_real_space" in out
     assert "FAIL" not in out
+
+
+def test_verify_defaults_to_all_suites(monkeypatch, capsys):
+    assert build_parser().parse_args(["verify"]).suites == []
+    assert main(["verify", "lattice"]) == 0
+    assert "PASS lattice.parseval" in capsys.readouterr().out
+    ran = []
+    monkeypatch.setattr(cli, "verify", lambda suites: ran.append(suites) or 0)
+    assert main(["verify"]) == 0
+    assert ran == [VERIFY_SUITES]
+    assert len(VERIFY_SUITES) == 6
 
 
 def test_verify_rejects_unknown_suite():

@@ -1,8 +1,12 @@
 """Green's column and matrix solvers across the three schemes."""
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from greendecay import (
@@ -21,9 +25,11 @@ from greendecay import (
     dft,
     idft,
     periodic_distance,
+    scheme_symbol,
     solve_green_column,
     solve_green_matrix,
 )
+from greendecay.greens import KRYLOV_MAXITER, KRYLOV_RESTART
 
 ALL_SCHEMES = (FD2, PS, MPS)
 
@@ -142,11 +148,111 @@ def test_y_index_validated():
         solve_green_column(spec, -1)
 
 
-def test_dense_cap_enforced_for_fourier_column():
-    spec = free_problem(PS, N=256)
-    with pytest.raises(CapExceeded):
-        solve_green_column(spec, 0, dense_cap=128)
-    solve_green_column(spec, 0, dense_cap=256)
+def test_spectral_column_has_no_size_cap():
+    # N = 8192 is above the 4096 that caps the dense paths; the column is matrix-free
+    spec = ProblemSpec(build_grid(40.0, 8192), -10.0, PotentialSpec.gaussian(10.0, 0.2), MPS)
+    col = solve_green_column(spec, 100)
+    assert col.solver == "spectral-krylov"
+    assert col.residual <= 1e-10
+
+
+@pytest.mark.parametrize("scheme, potential, solver", [
+    (FD2, PotentialSpec.gaussian(10.0, 0.2), "fd2-banded"),
+    (PS, PotentialSpec.zero(), "spectral-closed-form"),
+    (MPS, PotentialSpec.zero(), "spectral-closed-form"),
+    (PS, PotentialSpec.gaussian(10.0, 0.2), "spectral-krylov"),
+    (MPS, PotentialSpec.gaussian(10.0, 0.2), "spectral-krylov"),
+])
+def test_column_records_its_solver(scheme, potential, solver):
+    col = solve_green_column(ProblemSpec(build_grid(40.0, 800), -1.0, potential, scheme), 3)
+    assert col.solver == solver
+    if solver == "spectral-krylov":
+        assert 1 <= col.iterations <= KRYLOV_RESTART * KRYLOV_MAXITER
+    else:
+        assert col.iterations == 0
+
+
+@pytest.mark.parametrize("scheme", (PS, MPS))
+def test_lambda_on_symbol_raises_for_free_column(scheme):
+    spec = free_problem(scheme, N=128)
+    for j in (70, 90):  # k = 7 dk and k = 27 dk, inside and past the mps transition
+        on_symbol = ProblemSpec(spec.grid, scheme_symbol(spec)[j], PotentialSpec.zero(), scheme)
+        with pytest.raises(SingularResolvent):
+            solve_green_column(on_symbol, 5)
+
+
+def test_lambda_on_shifted_symbol_raises_for_constant_potential():
+    # with V = 2 everywhere lam - H is the Fourier diagonal lam - 2 - s(k), zero at k = 13 dk
+    grid = build_grid(40.0, 64)
+    lam = scheme_symbol(free_problem(PS, N=64))[40] + 2.0
+    spec = ProblemSpec(grid, lam, PotentialSpec.tabulated(np.full(64, 2.0)), PS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularResolvent):
+            solve_green_column(spec, 0)
+
+
+def _dense_fourier_hamiltonian(spec):
+    """Hhat_kl = s(k) delta_kl + (1/L) Vhat_{k-l}, Vhat = dx sum_x e^{-i k x} V(x), k - l mod N dk."""
+    grid = spec.grid
+    n = grid.spectral_indices
+    vhat = grid.dx * np.exp(-1j * grid.dk * np.outer(n, grid.x)) @ spec.potential.evaluate(grid)
+    shift = np.mod(n[:, None] - n[None, :] + grid.N // 2 - 1, grid.N)  # position of n_k - n_l
+    return np.diag(scheme_symbol(spec)) + vhat[shift] / grid.L
+
+
+def _lambda(kind, value, imag):
+    if kind == "negative":
+        return complex(-value)
+    if kind == "complex":
+        return complex(value - 10.0, imag)
+    return complex(value)  # real and positive: inside the spectrum of H unless kc is small
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    L=st.floats(8.0, 64.0),
+    half_n=st.integers(8, 128),
+    scheme=st.sampled_from((PS, MPS)),
+    kind=st.sampled_from(("negative", "complex", "inside")),
+    value=st.floats(0.5, 60.0),
+    imag=st.floats(-5.0, 5.0).filter(lambda t: abs(t) >= 0.05),
+    amplitude=st.floats(-10.0, 10.0).filter(lambda a: abs(a) >= 0.1),
+    rate=st.floats(0.05, 2.0),
+    center=st.floats(0.0, 1.0),
+    y_frac=st.floats(0.0, 1.0),
+)
+def test_krylov_column_matches_dense_solve(L, half_n, scheme, kind, value, imag,
+                                           amplitude, rate, center, y_frac):
+    assume(L <= 2 * half_n)  # dx <= 1
+    grid = build_grid(L, 2 * half_n)
+    spec = ProblemSpec(grid, _lambda(kind, value, imag),
+                       PotentialSpec.gaussian(amplitude, rate, center * L), scheme)
+    Hhat = _dense_fourier_hamiltonian(spec)
+    # leave out lam within 1e-2 of an eigenvalue of H, where both paths lose digits
+    assume(np.min(np.abs(spec.lam - np.linalg.eigvalsh(Hhat))) >= 1e-2)
+    y = min(int(y_frac * grid.N), grid.N - 1)
+    col = solve_green_column(spec, y)
+    ghat = np.linalg.solve(spec.lam * np.eye(grid.N) - Hhat, np.exp(-1j * grid.k * grid.x[y]))
+    ref = np.exp(1j * np.outer(grid.x, grid.k)) @ ghat / grid.L  # g(x) = (1/L) sum_k e^{ikx} ghat_k
+    assert col.solver == "spectral-krylov"
+    assert np.max(np.abs(col.g.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-8])
+def test_krylov_column_next_to_a_preconditioner_pole(offset):
+    # lam = s(k) + mean(V) zeroes one entry of the Fourier diagonal M; an exact
+    # 1/M there leaves a residual of 1e-8 at offset 1e-8 (490 steps) and 35 at offset 0
+    grid = build_grid(40.0, 256)
+    pot = PotentialSpec.gaussian(10.0, 0.2, 3.0)
+    lam = grid.k[140] ** 2 + np.mean(pot.evaluate(grid)) + offset
+    spec = ProblemSpec(grid, lam, pot, PS)
+    Hhat = _dense_fourier_hamiltonian(spec)
+    ghat = np.linalg.solve(spec.lam * np.eye(grid.N) - Hhat, np.ones(grid.N))
+    ref = np.exp(1j * np.outer(grid.x, grid.k)) @ ghat / grid.L
+    col = solve_green_column(spec, 0)
+    assert col.residual <= 1e-10
+    assert np.max(np.abs(col.g.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def _mp_free_mps_column(L, N, lam, i):

@@ -267,6 +267,12 @@ def test_mollified_distance_rejects_small_domain():
         mollified_distance(0.5, 0.0, 0.5)
 
 
+@pytest.mark.parametrize("L", [float("nan"), float("inf")])
+def test_mollified_distance_rejects_non_finite_domain(L):
+    with pytest.raises(ParameterError):
+        mollified_distance(1.0, 0.0, L)
+
+
 def test_phase_gap_lower_bound_with_edge_equality():
     # |exp(i dk x) - 1| / dk >= 2 |x| / pi on the half interval, equality at L/2
     for L, N in ((40.0, 2000), (2 * np.pi, 16), (1.0, 64)):
