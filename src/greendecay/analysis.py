@@ -14,8 +14,8 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .errors import DegenerateProfile, ParameterError, SingularResolvent
-from .greens import DENSE_CAP_DEFAULT, GreensColumn, _assemble_fourier_system, solve_green_matrix
-from .lattice import GridSpec, SpectralFunction, _check_index, dft_values, mollified_distance
+from .greens import DENSE_CAP_DEFAULT, GreensColumn, _check_dense_cap
+from .lattice import GridSpec, SpectralFunction, _check_index, dft_values, mollified_distance, to_fft_order
 from .mollifier import MollifierSpec, h_on_grid
 from .operators import FD2, MPS, ProblemSpec, spectral_difference
 
@@ -144,12 +144,10 @@ def _lanczos_2norm(A: np.ndarray, seed: int = 142) -> float:
 
 
 def matrix_2norm(A: np.ndarray, method: str = "auto") -> float:
-    """Spectral norm: full SVD up to N = 1024, Lanczos (ARPACK svds) above.
+    """Spectral norm of a dense matrix: full SVD up to N = 1024, Lanczos (ARPACK svds) above.
 
-    Plain power iteration on the Gram operator stalls on these weighted
-    resolvents (their top singular values are nearly degenerate), so the
-    large-N route uses a Krylov method with a deterministic start vector and
-    falls back to the full SVD if the spectrum defeats ARPACK too.
+    The Lanczos route has a deterministic start vector and falls back to the
+    full SVD if ARPACK fails.  The weighted-norm verifiers no longer call it.
     """
     if method == "auto":
         method = "svd" if max(A.shape) <= SVD_MAX_N else "lanczos"
@@ -163,28 +161,56 @@ def matrix_2norm(A: np.ndarray, method: str = "auto") -> float:
     raise ParameterError(f"unknown 2-norm method {method!r}")
 
 
-def weighted_resolvent_norm(
-    spec: ProblemSpec,
-    gamma: float,
-    y_index: int = 0,
-    dense_cap: int = DENSE_CAP_DEFAULT,
-) -> float:
+def _conjugated_sigma_min(spec: ProblemSpec, weight: np.ndarray) -> tuple[float, float]:
+    """sigma_min(B) and ||B||_inf for the fd2 B = E (lam - H) E^{-1}, E = diag(e^weight).
+
+    B is periodic tridiagonal, real when lam is: diagonal lam - 2c - V with
+    c = 1/dx^2, off-diagonals c e^{weight_i - weight_j}.  One sparse LU of B
+    serves Lanczos on B^{-1} B^{-H}, whose top eigenvalue is sigma_min(B)^-2.
+    """
+    grid = spec.grid
+    c = 1.0 / grid.dx ** 2
+    i = np.arange(grid.N)
+    up = np.roll(i, -1)
+    lam = spec.lam if spec.lam.imag else spec.lam.real
+    entries = np.concatenate((lam - 2.0 * c - spec.potential.evaluate(grid),
+                              c * np.exp(weight - weight[up]), c * np.exp(weight[up] - weight)))
+    B = scipy.sparse.csc_matrix((entries, (np.r_[i, i, up], np.r_[i, up, i])), shape=(grid.N, grid.N))
+    norm_inf = float(abs(B).sum(axis=1).max())
+    try:
+        lu = scipy.sparse.linalg.splu(B)
+    except RuntimeError:  # an exactly zero pivot
+        return 0.0, norm_inf
+    op = scipy.sparse.linalg.LinearOperator(B.shape, lambda x: lu.solve(lu.solve(x, trans="H")),
+                                            dtype=B.dtype)
+    v0 = np.random.default_rng(142).standard_normal(grid.N)
+    top = scipy.sparse.linalg.eigsh(op, k=1, which="LA", tol=0, v0=v0, return_eigenvectors=False)[0]
+    return float(1.0 / np.sqrt(top)), norm_inf
+
+
+def weighted_resolvent_norm(spec: ProblemSpec, gamma: float, y_index: int = 0) -> float:
     """|| exp(gamma d(., y)) (lam - H)^{-1} exp(-gamma d(., y)) ||_2 for the fd2 scheme.
 
     d is the mollified distance; boundedness of this norm uniformly in L and
     dx (for gamma below the decay rate) is the discrete Combes-Thomas
     estimate.  gamma defaults are the caller's business; kappa/2 with kappa
     from fd_characteristic_rate stays safely inside the admissible range.
+    The weighted resolvent is B^{-1} with B = E (lam - H) E^{-1} and E =
+    diag(e^{gamma d}), so the norm is 1/sigma_min(B), from a sparse LU of B.
     """
     if spec.scheme != FD2:
         raise ParameterError("weighted_resolvent_norm is defined for the fd2 scheme")
     if gamma < 0:
         raise ParameterError(f"gamma must be >= 0, got {gamma}")
     grid = spec.grid
-    resolvent = solve_green_matrix(spec, dense_cap=dense_cap) * grid.dx
     d, _, _ = mollified_distance(grid.x, grid.x[_check_index(grid, y_index)], grid.L)
-    weighted = np.exp(gamma * (d[:, None] - d[None, :])) * resolvent
-    return matrix_2norm(weighted)
+    sigma, norm_inf = _conjugated_sigma_min(spec, gamma * d)
+    # rank tolerance on lam - H, with ||B||_inf >= ||lam - H||_2 for sigma_max.  B^{-1} is similar
+    # to the normal (lam - H)^{-1}, so dist(lam, spec H) >= sigma: only a small sigma needs gamma = 0
+    tol = grid.N * np.finfo(float).eps * norm_inf
+    if not sigma > tol and not _conjugated_sigma_min(spec, np.zeros_like(d))[0] > tol:
+        raise SingularResolvent(f"lam = {spec.lam} is an eigenvalue of the fd2 operator")
+    return 1.0 / sigma
 
 
 class WeightedHNorm(NamedTuple):
@@ -200,30 +226,34 @@ def weighted_G_h_norm(spec: ProblemSpec, dense_cap: int = DENSE_CAP_DEFAULT) -> 
 
     Also returns the a-priori bound 1 + ||Ghat||_2 (|1 + lam| + sqrt(2 pi)
     ||V||_inf), which the computed value must never exceed, and ||Ghat||_2
-    itself.  Both norms are read from A = lam - Hhat without inverting it.
-    V is real, so Hhat is Hermitian and A is normal: ||Ghat||_2 is
-    1/min|lam - mu| over the eigenvalues mu of Hhat, for complex lam too.
-    And (Ghat D)^{-1} = D^{-1} A with D = diag(1 + h), so ||Ghat D||_2 is
-    1/sigma_min(D^{-1} A).
+    itself.  Both are read in the position basis, where the unitary DFT carries
+    Hhat to the real symmetric H = C_h + diag(V), with C_s = circulant(ifft(s))
+    for an even symbol s.  So ||Ghat||_2 = 1/min|lam - eigvalsh(H)|, and
+    diag(1 + h)^{-1} becomes C_w, w = 1/(1 + h), so ||Ghat (1 + h)||_2 =
+    1/sigma_min(C_w (lam - H)); both matrices are real for real lam.
     """
     if spec.scheme != MPS:
         raise ParameterError("weighted_G_h_norm is defined for the mps scheme")
     grid = spec.grid
     N = grid.N
-    A = _assemble_fourier_system(spec, dense_cap)
-    hhat = -A
-    hhat[np.arange(N), np.arange(N)] += spec.lam
-    # LAPACK gets the transposes, Fortran-ordered views it overwrites without a copy;
-    # the transpose of Hhat is Hermitian with the same eigenvalues
-    dist = np.abs(spec.lam - scipy.linalg.eigvalsh(hhat.T, overwrite_a=True))
-    # the rank tolerance of numpy.linalg.matrix_rank, applied to the singular values of A
+    _check_dense_cap(N, dense_cap)
+    lam = spec.lam if spec.lam.imag else spec.lam.real
+    h = to_fft_order(h_on_grid(grid, spec.mollifier), N)
+    V = spec.potential.evaluate(grid)
+    H = scipy.linalg.circulant(np.fft.ifft(h).real)
+    H[np.arange(N), np.arange(N)] += V
+    # LAPACK gets H.T, a Fortran-ordered view of the symmetric H it overwrites without a copy
+    dist = np.abs(lam - scipy.linalg.eigvalsh(H.T, overwrite_a=True))
+    # the rank tolerance of numpy.linalg.matrix_rank, applied to the singular values of lam - H
     if dist.min() <= N * np.finfo(float).eps * dist.max():
         raise SingularResolvent(f"lam = {spec.lam} is an eigenvalue of the mps operator")
     resolvent_norm = 1.0 / float(dist.min())
-    A /= (1.0 + h_on_grid(grid, spec.mollifier))[:, None]
-    value = 1.0 / float(scipy.linalg.svdvals(A.T, overwrite_a=True)[-1])
-    vmax = float(np.max(np.abs(spec.potential.evaluate(grid))))
-    bound = 1.0 + resolvent_norm * (abs(1.0 + spec.lam) + np.sqrt(2.0 * np.pi) * vmax)
+    w = 1.0 / (1.0 + h)
+    # (lam - H) C_w, the transpose of C_w (lam - H), with C_h C_w = C_{h w}
+    AC = (lam - V)[:, None] * scipy.linalg.circulant(np.fft.ifft(w).real)
+    AC -= scipy.linalg.circulant(np.fft.ifft(h * w).real)
+    value = 1.0 / float(scipy.linalg.svdvals(AC.T, overwrite_a=True)[-1])
+    bound = 1.0 + resolvent_norm * (abs(1.0 + spec.lam) + np.sqrt(2.0 * np.pi) * float(np.max(np.abs(V))))
     return WeightedHNorm(value, bound, resolvent_norm)
 
 

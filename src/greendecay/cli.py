@@ -9,7 +9,6 @@ produces byte-identical CSV bodies.
 import argparse
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -72,7 +71,6 @@ class ExperimentConfig:
     sweep_l: tuple[float, ...] = (40.0, 80.0, 160.0, 320.0)
     sweep_dx: tuple[float, ...] = (0.05, 0.02, 0.01)
     out_dir: Path = Path("out")
-    workers: int = 1
 
     def grid_for(self, L: float | None = None, dx: float | None = None) -> GridSpec:
         L = self.L if L is None else L
@@ -101,8 +99,6 @@ class ExperimentConfig:
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ParameterError(f"unknown scheme {s!r}")
-        if self.workers < 1:
-            raise ParameterError(f"workers must be >= 1, got {self.workers}")
         if not 0 < self.x1 < self.x2:
             raise ParameterError(f"need 0 < x1 < x2, got x1={self.x1}, x2={self.x2}")
         self.problem(FD2)  # surfaces grid, lam and sigma errors early
@@ -148,8 +144,11 @@ def _read_config_file(path: Path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ParameterError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise ParameterError(f"{path}:{lineno}: unknown key {key!r}; "
+                                 f"known keys: {', '.join(_CONFIG_KEYS)}")
+        out[key] = value
     return out
 
 
@@ -166,8 +165,8 @@ _CONFIG_KEYS = {
     "L": ("L", float), "dx": ("dx", float), "n": ("n", int), "lambda": ("lam", parse_lambda),
     "scheme": ("schemes", lambda text: tuple(s.strip() for s in text.split(",") if s.strip())),
     "potential": ("potential", parse_potential), "x1": ("x1", float), "x2": ("x2", float),
-    "sigma": ("sigma", float), "workers": ("workers", int), "sweep_l": ("sweep_l", _floats_list),
-    "sweep_dx": ("sweep_dx", _floats_list), "out": ("out_dir", Path),
+    "sigma": ("sigma", float), "sweep_l": ("sweep_l", _floats_list), "sweep_dx": ("sweep_dx", _floats_list),
+    "out": ("out_dir", Path),
 }
 
 
@@ -233,7 +232,7 @@ def _meta_entries(cfg: ExperimentConfig, wall_time: float) -> dict:
         pot_text = f"tabulated[{len(pot.table)}]"
     else:
         pot_text = "none"
-    entries = {
+    return {
         "experiment": cfg.experiment,
         "L": _fmt(cfg.L),
         "dx": "none" if cfg.dx is None else _fmt(cfg.dx),
@@ -246,21 +245,11 @@ def _meta_entries(cfg: ExperimentConfig, wall_time: float) -> dict:
         "sigma": _fmt(cfg.sigma),
         "sweep_l": ",".join(_fmt(v) for v in cfg.sweep_l),
         "sweep_dx": ",".join(_fmt(v) for v in cfg.sweep_dx),
-        "workers": cfg.workers,
         "greendecay_version": __version__,
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
+        "wall_time_s": f"{wall_time:.3f}",
     }
-    entries["wall_time_s"] = f"{wall_time:.3f}"
-    return entries
-
-
-def _sweep_map(workers: int, fn, points):
-    """Evaluate fn over sweep points, preserving parameter order in the output."""
-    if workers <= 1:
-        return [fn(p) for p in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, points))
 
 
 # --------------------------------------------------------------------------
@@ -268,30 +257,19 @@ def _sweep_map(workers: int, fn, points):
 
 
 def run_profile(cfg: ExperimentConfig, out: Path) -> list[Path]:
-    files = []
+    files = [write_csv(out / f"profile_{scheme}.csv", "x,absG",
+                       decay_profile(solve_green_column(cfg.problem(scheme), 0)))
+             for scheme in cfg.schemes]
     grid = cfg.grid_for()
-
-    def one(scheme):
-        col = solve_green_column(cfg.problem(scheme), 0)
-        return scheme, decay_profile(col)
-
-    for scheme, prof in _sweep_map(cfg.workers, one, cfg.schemes):
-        files.append(write_csv(out / f"profile_{scheme}.csv", "x,absG", prof))
-    V = cfg.potential.evaluate(grid)
-    files.append(write_csv(out / "potential.csv", "x,V", zip(grid.x, V)))
-    return files
+    return files + [write_csv(out / "potential.csv", "x,V", zip(grid.x, cfg.potential.evaluate(grid)))]
 
 
 def _gamma_sweep(cfg: ExperimentConfig, out: Path, column: str, points, problem_at) -> list[Path]:
     """gamma over sweep points per scheme, one CSV each, first column the grid's L or kc."""
     files = []
     for scheme in cfg.schemes:
-
-        def one(point):
-            col = solve_green_column(problem_at(scheme, point), 0)
-            return getattr(col.problem.grid, column), measure_gamma(col, cfg.x1, cfg.x2)
-
-        rows = _sweep_map(cfg.workers, one, points)
+        cols = [solve_green_column(problem_at(scheme, point), 0) for point in points]
+        rows = [(getattr(col.problem.grid, column), measure_gamma(col, cfg.x1, cfg.x2)) for col in cols]
         name = f"gamma_sweep_{column.lower()}_{scheme}.csv"
         files.append(write_csv(out / name, f"{column},gamma", rows))
     return files
@@ -544,7 +522,6 @@ def _common_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep-dx", dest="sweep_dx", type=_floats_list, default=None,
                    help="comma-separated spacings for the kc sweep")
     p.add_argument("--out", type=Path, default=None, help="output directory")
-    p.add_argument("--workers", type=int, default=None, help="concurrent sweep evaluations")
     return p
 
 

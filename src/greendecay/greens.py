@@ -128,16 +128,6 @@ def _check_dense_cap(N: int, dense_cap: int) -> None:
         )
 
 
-def _assemble_fourier_system(spec: ProblemSpec, dense_cap: int) -> np.ndarray:
-    """Dense lam - Hhat in the Fourier basis (ps and mps schemes), refused above dense_cap."""
-    N = spec.grid.N
-    _check_dense_cap(N, dense_cap)
-    A = fourier_hamiltonian_matrix(spec)
-    A *= -1.0
-    A[np.arange(N), np.arange(N)] += spec.lam
-    return A
-
-
 def _solve_fourier_krylov(spec: ProblemSpec, rhs: np.ndarray) -> tuple[np.ndarray, int]:
     """ps/mps (lam - H) g = rhs by right-preconditioned GMRES; returns g and the step count.
 
@@ -208,13 +198,15 @@ def solve_green_matrix(spec: ProblemSpec, dense_cap: int = DENSE_CAP_DEFAULT) ->
     path is capped at dense_cap because the result itself is dense N x N.
     """
     grid = spec.grid
+    _check_dense_cap(grid.N, dense_cap)
     if spec.scheme == FD2:
-        _check_dense_cap(grid.N, dense_cap)
         return _solve_fd(spec, np.eye(grid.N, dtype=complex) / grid.dx)
+    A = -fourier_hamiltonian_matrix(spec)  # lam - Hhat
+    A[np.arange(grid.N), np.arange(grid.N)] += spec.lam
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-            lu = scipy.linalg.lu_factor(_assemble_fourier_system(spec, dense_cap))
+            lu = scipy.linalg.lu_factor(A)
     except (scipy.linalg.LinAlgError, scipy.linalg.LinAlgWarning) as err:
         raise SingularResolvent(f"dense factorization failed: {err}") from None
     # DFT of e_y/dx for every y at once: bhat[k, y] = exp(-i k x_y)

@@ -28,6 +28,7 @@ from greendecay import (
     h_ratio_sup,
     matrix_2norm,
     measure_gamma,
+    mollified_distance,
     moment_check,
     periodic_distance,
     solve_green_column,
@@ -243,14 +244,16 @@ def test_weighted_norm_gamma_zero_is_resolvent_norm():
 
 
 def test_weighted_norm_negative_control_blows_up_beyond_rate():
-    # pushing gamma above the decay rate must break uniformity in L
+    # pushing gamma above the decay rate must break uniformity in L; at L = 160 the weighted
+    # sigma_min (2e-20) is far below the rank tolerance, while lam = -10 stays regular
     vals = []
-    for L in (40.0, 80.0):
+    for L in (40.0, 80.0, 160.0):
         grid = build_grid(L, int(round(L / 0.05)))
         spec = ProblemSpec(grid, -10.0, PotentialSpec.zero(), FD2)
         kappa = fd_characteristic_rate(-10.0, grid.dx)
         vals.append(weighted_resolvent_norm(spec, 1.2 * kappa, 0))
     assert vals[1] >= 100.0 * vals[0]
+    assert vals[2] >= 100.0 * vals[1]
 
 
 def test_weighted_norm_requires_fd2():
@@ -259,11 +262,44 @@ def test_weighted_norm_requires_fd2():
         weighted_resolvent_norm(ProblemSpec(grid, -10.0, PotentialSpec.zero(), PS), 1.0, 0)
 
 
-def test_weighted_norm_cap_propagates():
+def dense_weighted_resolvent_norm(spec, gamma, y_index):
+    """The weighted resolvent formed entry by entry from the Green's matrix, then a full SVD."""
+    grid = spec.grid
+    d, _, _ = mollified_distance(grid.x, grid.x[y_index], grid.L)
+    weighted = np.exp(gamma * (d[:, None] - d[None, :])) * solve_green_matrix(spec) * grid.dx
+    return scipy.linalg.svdvals(weighted)[0]
+
+
+@pytest.mark.parametrize("y_third", [False, True])
+@pytest.mark.parametrize("gamma_factor", [0.0, 0.5, 1.2])
+@pytest.mark.parametrize("lam", [-10.0, complex(-1.0, 0.5)])
+@pytest.mark.parametrize("potential", [PotentialSpec.zero(), PotentialSpec.gaussian(10.0, 0.2, 3.0)],
+                         ids=["zero", "gaussian"])
+@pytest.mark.parametrize("N", [128, 400])
+def test_weighted_norm_matches_dense_svd(N, potential, lam, gamma_factor, y_third):
+    grid = build_grid(40.0, N)
+    spec = ProblemSpec(grid, lam, potential, FD2)
+    gamma = gamma_factor * fd_characteristic_rate(lam, grid.dx)
+    y = N // 3 if y_third else 0
+    assert_allclose(weighted_resolvent_norm(spec, gamma, y),
+                    dense_weighted_resolvent_norm(spec, gamma, y), rtol=1e-10)
+
+
+@pytest.mark.parametrize("j", [1, 7, 100])
+def test_weighted_norm_singular_on_fd2_symbol(j):
     grid = build_grid(40.0, 400)
-    spec = ProblemSpec(grid, -10.0, PotentialSpec.zero(), FD2)
-    with pytest.raises(CapExceeded):
-        weighted_resolvent_norm(spec, 1.0, 0, dense_cap=100)
+    lam = (4.0 / grid.dx ** 2) * np.sin(j * grid.dk * grid.dx / 2.0) ** 2
+    spec = ProblemSpec(grid, lam, PotentialSpec.zero(), FD2)
+    for gamma in (0.0, 0.5 * fd_characteristic_rate(lam, grid.dx)):
+        with pytest.raises(SingularResolvent):
+            weighted_resolvent_norm(spec, gamma, 0)
+
+
+def test_weighted_norm_has_no_size_cap():
+    grid = build_grid(160.0, 8192)
+    spec = ProblemSpec(grid, -10.0, PotentialSpec.gaussian(10.0, 0.2), FD2)
+    value = weighted_resolvent_norm(spec, 0.5 * fd_characteristic_rate(-10.0, grid.dx), 0)
+    assert np.isfinite(value) and value > 0.0
 
 
 def test_weighted_G_h_norm_free_field_oracle():
@@ -307,6 +343,17 @@ def test_weighted_G_h_norm_matches_dense_inverse(lam, L, N):
     assert res.value <= res.bound
 
 
+@pytest.mark.parametrize("L, dx", [(40.0, 0.05), (40.0, 0.025), (80.0, 0.05)])
+def test_weighted_G_h_norm_plateau_identity(L, dx):
+    # h = kc^2 on |k| >= 3 kc/4: there sigma_min(diag(1+h)^-1 (lam - Hhat)) sits at the plateau
+    grid = build_grid(L, int(round(L / dx)))
+    pot = PotentialSpec.gaussian(10.0, 0.2)
+    lam = -10.0
+    res = weighted_G_h_norm(ProblemSpec(grid, lam, pot, MPS))
+    plateau = (1.0 + grid.kc ** 2) / abs(lam - grid.kc ** 2 - pot.evaluate(grid).min())
+    assert_allclose(res.value, plateau, rtol=1e-12)
+
+
 def test_weighted_G_h_norm_singular_at_eigenvalue():
     grid = build_grid(40.0, 128)
     pot = PotentialSpec.gaussian(10.0, 0.2)
@@ -344,8 +391,6 @@ def test_matrix_2norm_methods_agree_on_weighted_resolvent():
     grid = build_grid(40.0, 800)
     spec = ProblemSpec(grid, -10.0, PotentialSpec.zero(), FD2)
     resolvent = solve_green_matrix(spec) * grid.dx
-    from greendecay import mollified_distance
-
     d, _, _ = mollified_distance(grid.x, 0.0, grid.L)
     kappa = fd_characteristic_rate(-10.0, grid.dx)
     W = np.exp(0.5 * kappa * (d[:, None] - d[None, :])) * resolvent

@@ -89,6 +89,16 @@ def test_bad_config_line_reported(tmp_path):
         resolve_config(args)
 
 
+@pytest.mark.parametrize("line", ["lamda=-5", "dense_cap=8192", "workers=2"])
+def test_unknown_config_key_is_a_parameter_error(tmp_path, capsys, line):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"L=16\ndx=0.25\n{line}\n")
+    rc = main(["profile", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert line.split("=")[0] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------- experiments
 
 
@@ -130,15 +140,6 @@ def test_profile_determinism(tmp_path):
     body_a = (tmp_path / "a" / "profile_mps.csv").read_bytes()
     body_b = (tmp_path / "b" / "profile_mps.csv").read_bytes()
     assert body_a == body_b
-
-
-def test_workers_do_not_change_output(tmp_path):
-    base = ["gamma-sweep-l", "--dx", "0.25", "--lambda", "-4", "--scheme", "fd2",
-            "--sweep-l", "16,32,48"]
-    main(base + ["--workers", "1", "--out", str(tmp_path / "w1")])
-    main(base + ["--workers", "3", "--out", str(tmp_path / "w3")])
-    assert (tmp_path / "w1" / "gamma_sweep_l_fd2.csv").read_bytes() == \
-        (tmp_path / "w3" / "gamma_sweep_l_fd2.csv").read_bytes()
 
 
 def test_gamma_sweep_l_rows(tmp_path):
